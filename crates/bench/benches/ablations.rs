@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md.
+//! Ablation benchmarks, one per design choice of the implementation:
 //!
 //! * lower-bound tracking on/off for GHLL recording (paper §5.4: a
 //!   significant speedup for b = 2 at large cardinalities, no effect on

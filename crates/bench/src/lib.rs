@@ -5,8 +5,9 @@
 //! * `recording` — Figure 10: insert cost per element for every structure;
 //! * `estimation` — latency of the cardinality and joint estimators;
 //! * `lsh_queries` — §3.3 use case: LSH index insert/query throughput;
-//! * `ablations` — design-choice benchmarks called out in DESIGN.md
-//!   (lower-bound tracking, binary search vs logarithm, SetSketch1 vs 2).
+//! * `ablations` — design-choice benchmarks (lower-bound tracking,
+//!   binary search vs logarithm, SetSketch1 vs 2), each choice
+//!   described in that bench's own module doc.
 
 use sketch_rand::mix64;
 

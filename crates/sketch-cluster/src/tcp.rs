@@ -3,11 +3,22 @@
 //!
 //! Both sides speak the length-prefixed frame format from
 //! [`wire`](crate::wire) over plain `std::net` TCP — no async runtime,
-//! no external dependencies. Connections are short-lived: the
-//! transport dials, writes one request frame, reads one response
-//! frame, and hangs up. That keeps the server loop trivial (a thread
-//! per live connection) and makes crash/restart behavior obvious; at
-//! sketch scale the handshake cost is dwarfed by register payloads.
+//! no external dependencies. Connections are **kept alive and pooled
+//! per peer**: after a complete exchange the transport parks the
+//! socket (at most 8 idle sockets per peer) and the next request to
+//! that peer reuses it, so a point query pays neither a TCP handshake
+//! nor a server thread spawn. The server runs one thread per live
+//! connection, looping over request frames until the client hangs up.
+//!
+//! A pooled socket can turn out **stale**: the peer closed it while it
+//! sat idle (restart, shutdown, crash). When a pooled socket fails
+//! before any response byte arrives — end of stream, connection reset,
+//! broken pipe or connection aborted — the request is re-sent exactly
+//! once on a freshly dialed socket. Re-sending is safe because every
+//! request is idempotent: a read has no effect, and an ingest or a
+//! merge that did land before the hang-up lands again as a no-op
+//! (register maxima absorb repeats). A timeout or an undecodable frame
+//! is never re-sent, and a fresh socket's failure is surfaced as is.
 //!
 //! Every socket the transport opens carries **deadlines**
 //! ([`TcpTimeouts`]): connect, read and write each time out instead of
@@ -16,6 +27,11 @@
 //! delay a caller by at most the configured deadline — it cannot wedge
 //! the gossip loop. Layer [`Resilient`](crate::Resilient) on top for
 //! retries and suspicion tracking.
+//!
+//! Stopping a [`TcpServer`] closes every connection it is serving, idle
+//! pooled ones included, before it joins their threads, so a peer's
+//! parked socket cannot keep a stopped node (and its durable store)
+//! alive.
 
 use crate::bootstrap::BootstrapConfig;
 use crate::error::ClusterError;
@@ -23,10 +39,10 @@ use crate::health::Resilient;
 use crate::node::{ClusterNode, ClusterSketch};
 use crate::transport::Transport;
 use crate::wire::{read_frame, write_frame, FrameError, Message, NodeId};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -71,11 +87,26 @@ impl TcpTimeouts {
     }
 }
 
-/// A [`Transport`] that reaches peers over TCP, one connection per
-/// exchange, every socket under [`TcpTimeouts`] deadlines.
+/// Idle sockets kept per peer; a request that finds none dials, and a
+/// socket finished while the pool is full is closed.
+const MAX_IDLE_PER_PEER: usize = 8;
+
+/// A [`Transport`] that reaches peers over TCP, every socket under
+/// [`TcpTimeouts`] deadlines. Connections are kept alive and pooled
+/// per peer (up to 8 idle ones): a request reuses an idle socket when
+/// there is one and dials otherwise, and the socket goes back to the
+/// pool after a complete exchange (after any error it is closed). When a pooled socket fails before any response byte with
+/// end of stream, connection reset, broken pipe or connection aborted
+/// — the peer closed it while it sat idle — the request is re-sent
+/// exactly once on a fresh socket. That is safe because reads have no
+/// effect and sketch inserts and merges are idempotent. A timeout or
+/// an undecodable frame is never re-sent, so a stalled peer costs one
+/// deadline, not two.
 #[derive(Default)]
 pub struct TcpTransport {
     peers: RwLock<HashMap<NodeId, SocketAddr>>,
+    /// Idle sockets per peer, all to the peer's current address.
+    idle: Mutex<HashMap<NodeId, Vec<TcpStream>>>,
     timeouts: TcpTimeouts,
 }
 
@@ -88,8 +119,8 @@ impl TcpTransport {
     /// An empty address book with the given deadlines.
     pub fn with_timeouts(timeouts: TcpTimeouts) -> Self {
         TcpTransport {
-            peers: RwLock::new(HashMap::new()),
             timeouts,
+            ..Self::default()
         }
     }
 
@@ -99,31 +130,125 @@ impl TcpTransport {
     }
 
     /// Adds (or replaces) the address of `peer` — replacement is how a
-    /// restarted node re-advertises itself under a new port.
+    /// restarted node re-advertises itself under a new port. Idle
+    /// sockets to a replaced address are closed.
     pub fn add_peer(&self, peer: NodeId, addr: SocketAddr) {
-        self.peers.write().insert(peer, addr);
+        // Lock order idle → peers, as in `park`, so a socket finishing
+        // on the old address cannot be parked after its pool is dropped.
+        let mut idle = self.idle.lock();
+        if self.peers.write().insert(peer, addr) != Some(addr) {
+            idle.remove(&peer);
+        }
     }
 
     /// The known address of `peer`, if any.
     pub fn peer_addr(&self, peer: NodeId) -> Option<SocketAddr> {
         self.peers.read().get(&peer).copied()
     }
+
+    fn dial(&self, addr: SocketAddr) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&addr, self.timeouts.connect)?;
+        stream.set_read_timeout(Some(self.timeouts.read))?;
+        stream.set_write_timeout(Some(self.timeouts.write))?;
+        stream.set_nodelay(true).ok();
+        Ok(stream)
+    }
+
+    /// Returns a socket that completed an exchange to `peer`'s pool,
+    /// unless the pool is full or `peer` has moved off `addr`.
+    fn park(&self, peer: NodeId, addr: SocketAddr, stream: TcpStream) {
+        let mut idle = self.idle.lock();
+        if self.peer_addr(peer) != Some(addr) {
+            return;
+        }
+        let pool = idle.entry(peer).or_default();
+        if pool.len() < MAX_IDLE_PER_PEER {
+            pool.push(stream);
+        }
+    }
+
+    /// One exchange on `stream`; the socket goes back to the pool only
+    /// when the exchange completed.
+    fn exchange_and_park(
+        &self,
+        peer: NodeId,
+        addr: SocketAddr,
+        mut stream: TcpStream,
+        message: &Message,
+    ) -> Result<Message, Failure> {
+        let response = exchange(&mut stream, message)?;
+        self.park(peer, addr, stream);
+        Ok(response)
+    }
 }
 
 impl Transport for TcpTransport {
     fn request(&self, peer: NodeId, message: &Message) -> Result<Message, ClusterError> {
         let addr = self
-            .peers
-            .read()
-            .get(&peer)
-            .copied()
+            .peer_addr(peer)
             .ok_or(ClusterError::UnknownPeer(peer))?;
-        let mut stream = TcpStream::connect_timeout(&addr, self.timeouts.connect)?;
-        stream.set_read_timeout(Some(self.timeouts.read))?;
-        stream.set_write_timeout(Some(self.timeouts.write))?;
-        stream.set_nodelay(true).ok();
-        write_frame(&mut stream, message)?;
-        Ok(read_frame(&mut stream)?)
+        let pooled = self.idle.lock().get_mut(&peer).and_then(Vec::pop);
+        if let Some(stream) = pooled {
+            match self.exchange_and_park(peer, addr, stream, message) {
+                Ok(response) => return Ok(response),
+                // The peer closed the idle socket: re-send once below.
+                Err(failure) if failure.stale => {}
+                Err(failure) => return Err(failure.error),
+            }
+        }
+        let stream = self.dial(addr)?;
+        self.exchange_and_park(peer, addr, stream, message)
+            .map_err(|failure| failure.error)
+    }
+}
+
+/// A failed exchange, and whether it failed because the socket was
+/// stale: closed by the peer before any byte of the response arrived.
+struct Failure {
+    error: ClusterError,
+    stale: bool,
+}
+
+/// Writes `message` and reads one response frame from `stream`.
+fn exchange(stream: &mut TcpStream, message: &Message) -> Result<Message, Failure> {
+    if let Err(error) = write_frame(stream, message) {
+        return Err(Failure {
+            stale: is_hang_up(&error),
+            error: error.into(),
+        });
+    }
+    let mut counted = CountingReader { stream, read: 0 };
+    read_frame(&mut counted).map_err(|error| Failure {
+        stale: counted.read == 0 && matches!(&error, FrameError::Io(e) if is_hang_up(e)),
+        error: error.into(),
+    })
+}
+
+/// The errors a socket the peer has closed produces. Timeouts
+/// (`WouldBlock`/`TimedOut`) are deliberately absent: a stalled peer
+/// must cost one deadline, not two.
+fn is_hang_up(error: &io::Error) -> bool {
+    matches!(
+        error.kind(),
+        io::ErrorKind::UnexpectedEof
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::BrokenPipe
+            | io::ErrorKind::ConnectionAborted
+    )
+}
+
+/// Counts the bytes read through it, to tell "no response at all"
+/// from "a response cut short".
+struct CountingReader<'a> {
+    stream: &'a mut TcpStream,
+    read: usize,
+}
+
+impl Read for CountingReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.read += n;
+        Ok(n)
     }
 }
 
@@ -133,6 +258,9 @@ impl Transport for TcpTransport {
 /// Drop or [`shutdown`](Self::shutdown) stops the accept loop and the
 /// gossip thread; a [`Message::Shutdown`] frame from any client does
 /// the same remotely (the demo and CI use it to stop nodes cleanly).
+/// Every stop closes the connections being served, idle keep-alive
+/// ones included, and joins their threads, so once it returns no
+/// server thread holds the node.
 pub struct TcpServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -277,24 +405,43 @@ fn accept_loop<S: ClusterSketch>(
     node: Arc<ClusterNode<S>>,
     stop: Arc<AtomicBool>,
 ) {
+    // A handle on every connection being served, by connection number;
+    // each worker removes its own when its connection ends.
+    let live: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
     let mut workers = Vec::new();
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        live.lock().insert(id, handle);
         let node = Arc::clone(&node);
         let conn_stop = Arc::clone(&stop);
-        if let Ok(handle) = std::thread::Builder::new()
+        let conn_live = Arc::clone(&live);
+        let spawned = std::thread::Builder::new()
             .name(format!("cluster-conn-{}", node.id()))
-            .spawn(move || serve_connection(stream, local_addr, &node, &conn_stop))
-        {
-            workers.push(handle);
+            .spawn(move || {
+                serve_connection(stream, local_addr, &node, &conn_stop);
+                conn_live.lock().remove(&id);
+            });
+        match spawned {
+            Ok(worker) => workers.push(worker),
+            Err(_) => {
+                live.lock().remove(&id);
+            }
         }
-        workers.retain(|handle| !handle.is_finished());
+        workers.retain(|worker| !worker.is_finished());
     }
-    for handle in workers {
-        let _ = handle.join();
+    // An idle pooled connection parks its worker in a read with no
+    // deadline; closing the socket ends that read so the join returns.
+    for stream in live.lock().values() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    for worker in workers {
+        let _ = worker.join();
     }
 }
 
